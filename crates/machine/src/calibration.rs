@@ -151,16 +151,17 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Process-wide calibration cache keyed by the machine's parameter dump.
-fn cache() -> &'static Mutex<HashMap<String, Arc<Calibration>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<Calibration>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One cached table and the number of times it was derived (a concurrent
+/// first lookup can derive more than once; only one table is kept).
+struct Entry {
+    table: Arc<Calibration>,
+    misses: u64,
 }
 
-/// `(hits, misses)` counters for the process-wide cache.
-fn counters() -> &'static Mutex<(u64, u64)> {
-    static COUNTERS: OnceLock<Mutex<(u64, u64)>> = OnceLock::new();
-    COUNTERS.get_or_init(|| Mutex::new((0, 0)))
+/// Process-wide calibration cache keyed by the machine's parameter dump.
+fn cache() -> &'static Mutex<HashMap<String, Entry>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, Entry>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// The calibration for `m`, derived at most once per distinct machine
@@ -169,20 +170,24 @@ fn counters() -> &'static Mutex<(u64, u64)> {
 pub fn cached(m: &MachineModel) -> Arc<Calibration> {
     let key = m.describe();
     if let Some(hit) = cache().lock().expect("calibration cache").get(&key) {
-        counters().lock().expect("calibration counters").0 += 1;
-        return hit.clone();
+        return hit.table.clone();
     }
     let derived = Arc::new(Calibration::derive(m));
     let mut map = cache().lock().expect("calibration cache");
-    let entry = map.entry(key).or_insert_with(|| derived.clone());
-    counters().lock().expect("calibration counters").1 += 1;
-    entry.clone()
+    let entry = map.entry(key).or_insert(Entry {
+        table: derived,
+        misses: 0,
+    });
+    entry.misses += 1;
+    entry.table.clone()
 }
 
-/// `(hits, misses)` observed by [`cached`] since process start. A warm
-/// sweep over an already-seen machine set shows only hits growing.
-pub fn cache_counters() -> (u64, u64) {
-    *counters().lock().expect("calibration counters")
+/// How many times [`cached`] derived the table for `m`'s configuration
+/// since process start. Lookups of other machines never move it, and a
+/// warm sweep over an already-seen machine leaves it unchanged.
+pub fn cache_misses_for(m: &MachineModel) -> u64 {
+    let map = cache().lock().expect("calibration cache");
+    map.get(&m.describe()).map_or(0, |e| e.misses)
 }
 
 #[cfg(test)]
@@ -209,12 +214,15 @@ mod tests {
 
     #[test]
     fn cache_hits_on_identical_configuration() {
-        let (_, misses_before) = cache_counters();
-        let a = cached(&presets::dual_broadwell());
-        let b = cached(&presets::dual_broadwell());
+        // A configuration no other test looks up, so sibling tests running
+        // concurrently cannot move its miss count.
+        let mut m = presets::dual_broadwell();
+        m.name = "cache-hit-probe".into();
+        assert_eq!(cache_misses_for(&m), 0);
+        let a = cached(&m);
+        let b = cached(&m);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        let (_, misses_after) = cache_counters();
-        assert_eq!(misses_after, misses_before + 1);
+        assert_eq!(cache_misses_for(&m), 1, "derived exactly once");
     }
 
     #[test]

@@ -41,6 +41,18 @@ impl Topology {
         }
     }
 
+    /// Number of ranks, out of `nranks` placed in order, that land on
+    /// `node`: `min(nranks, (node + 1)·c) − node·c`, clamped at 0 for nodes
+    /// past the last. The products saturate, so [`Topology::SINGLE_NODE`]
+    /// puts all `nranks` on node 0. O(1), where counting with
+    /// [`Topology::node_of`] over every rank is O(nranks).
+    pub fn ranks_on_node(&self, node: usize, nranks: usize) -> usize {
+        let c = self.ranks_per_node.max(1);
+        let first = node.saturating_mul(c);
+        let end = node.saturating_add(1).saturating_mul(c).min(nranks);
+        end.saturating_sub(first)
+    }
+
     /// True when two ranks share a node.
     #[inline]
     pub fn same_node(&self, a: usize, b: usize) -> bool {
@@ -99,6 +111,54 @@ mod tests {
         assert!(t.spans_nodes(&[0, 1, 2, 3, 4]));
         assert!(t.spans_nodes(&[3, 4]));
         assert!(!t.spans_nodes(&[]));
+    }
+
+    /// The O(nranks) scan that [`Topology::ranks_on_node`] replaces.
+    fn scan(t: Topology, node: usize, nranks: usize) -> usize {
+        (0..nranks).filter(|&r| t.node_of(r) == node).count()
+    }
+
+    #[test]
+    fn ranks_on_node_matches_the_scan() {
+        let topologies = [
+            Topology::block(0),
+            Topology::block(1),
+            Topology::block(3),
+            Topology::block(8),
+            Topology::SINGLE_NODE,
+        ];
+        for t in topologies {
+            for nranks in 0..40 {
+                for node in 0..45 {
+                    assert_eq!(
+                        t.ranks_on_node(node, nranks),
+                        scan(t, node, nranks),
+                        "{t:?} node={node} nranks={nranks}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_on_node_cases() {
+        // Ragged last node: 10 ranks in blocks of 4 -> 4, 4, 2.
+        let t = Topology::block(4);
+        assert_eq!(
+            (0..4).map(|n| t.ranks_on_node(n, 10)).collect::<Vec<_>>(),
+            vec![4, 4, 2, 0]
+        );
+        // Fewer ranks than slots: everyone on node 0.
+        assert_eq!(Topology::block(8).ranks_on_node(0, 5), 5);
+        assert_eq!(Topology::block(8).ranks_on_node(1, 5), 0);
+        // One slot per node: one rank each, none past the end.
+        assert_eq!(Topology::block(1).ranks_on_node(6, 7), 1);
+        assert_eq!(Topology::block(1).ranks_on_node(7, 7), 0);
+        // A single node holds the whole world, however large.
+        let s = Topology::SINGLE_NODE;
+        assert_eq!(s.ranks_on_node(0, 16384), 16384);
+        assert_eq!(s.ranks_on_node(1, 16384), 0);
+        assert_eq!(s.ranks_on_node(usize::MAX, 16384), 0);
     }
 
     #[test]

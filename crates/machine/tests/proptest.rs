@@ -115,4 +115,23 @@ proptest! {
         prop_assert!(!t.same_node(first, first + ranks_per_node));
         prop_assert_eq!(t.nodes_for(rank + 1), rank / ranks_per_node + 1);
     }
+
+    #[test]
+    fn ranks_on_node_matches_a_scan(
+        ranks_per_node in prop_oneof![Just(0usize), Just(1), 2usize..17, Just(usize::MAX)],
+        nranks in 0usize..200,
+        rank in 0usize..200,
+    ) {
+        let t = if ranks_per_node == usize::MAX {
+            Topology::SINGLE_NODE
+        } else {
+            Topology::block(ranks_per_node)
+        };
+        let node = t.node_of(rank);
+        let scanned = (0..nranks).filter(|&r| t.node_of(r) == node).count();
+        prop_assert_eq!(t.ranks_on_node(node, nranks), scanned);
+        // Summed over the nodes in use, every rank is counted once.
+        let total: usize = (0..t.nodes_for(nranks)).map(|n| t.ranks_on_node(n, nranks)).sum();
+        prop_assert_eq!(total, nranks);
+    }
 }

@@ -6,7 +6,9 @@
 //! 1. **Arrive.** Each participant deposits its virtual entry time, its
 //!    declared payload bytes and an optional data slot. The *last* arriver
 //!    computes the collective's exit time from all entries (typically
-//!    `max(entry) + cost`) and publishes a [`Done`] record.
+//!    `max(entry) + cost`), may combine the slots in place (reductions fold
+//!    all contributions here, once per generation) and publishes a [`Done`]
+//!    record.
 //! 2. **Read.** Every participant reads the exit time and whatever data
 //!    slots the operation semantics give it; the last reader reclaims the
 //!    record.
@@ -31,6 +33,9 @@ pub type Slot = Option<Box<dyn Any + Send>>;
 pub struct RvView<'a> {
     /// Entry time of each local rank.
     pub entries: &'a [VTime],
+    /// The data slots, indexed by local rank. The computation may rewrite
+    /// them; readers see the result in [`Done::slots`].
+    pub slots: &'a mut [Slot],
     /// Sum of the byte counts declared by all participants.
     pub total_bytes: u64,
     /// Generation number of this collective on this communicator
@@ -131,7 +136,9 @@ impl Rendezvous {
     /// `op` is a static label used to detect mismatched collectives (one
     /// rank in a barrier while another is in a bcast), which panics as it
     /// would abort a real MPI program. `compute_exit` runs exactly once per
-    /// generation, on the last arriving rank's thread.
+    /// generation, on the last arriving rank's thread and under the state
+    /// lock. If it panics, the generation never completes: the caller's
+    /// world poisons and the waiting participants unwind.
     ///
     /// Returns the generation's [`Done`] record; the caller must finish by
     /// calling [`Rendezvous::finish_read`] exactly once.
@@ -147,7 +154,7 @@ impl Rendezvous {
         poison: &Poison,
     ) -> (u64, Arc<Done>)
     where
-        F: FnOnce(&RvView<'_>) -> VTime,
+        F: FnOnce(RvView<'_>) -> VTime,
     {
         assert!(local < self.p, "mpisim: local rank {local} out of range");
         let mut st = self.state.lock();
@@ -172,13 +179,14 @@ impl Rendezvous {
             // Last arriver: compute and publish, then open the next
             // generation for arrivals.
             let exit = {
-                let view = RvView {
+                let st = &mut *st;
+                compute_exit(RvView {
                     entries: &st.entries,
+                    slots: &mut st.slots,
                     total_bytes: st.total_bytes,
                     gen,
                     p: self.p,
-                };
-                compute_exit(&view)
+                })
             };
             let slots = std::mem::replace(&mut st.slots, (0..self.p).map(|_| None).collect());
             let done = Arc::new(Done {

@@ -485,6 +485,26 @@ impl Comm {
     where
         F: FnOnce(&machine::CollectiveCost<'_>, u64) -> f64,
     {
+        self.sync_fold(p, op, root, my_bytes, slot, cost, |_| {})
+    }
+
+    /// [`Comm::sync`] whose last arriver also runs `fold` over the deposited
+    /// slots, once per generation and before any participant reads them.
+    #[allow(clippy::too_many_arguments)]
+    fn sync_fold<F, G>(
+        &self,
+        p: &mut Proc,
+        op: &'static str,
+        root: Option<usize>,
+        my_bytes: u64,
+        slot: Slot,
+        cost: F,
+        fold: G,
+    ) -> (u64, Arc<Done>)
+    where
+        F: FnOnce(&machine::CollectiveCost<'_>, u64) -> f64,
+        G: FnOnce(&mut [Slot]),
+    {
         let machine = p.machine.clone();
         let spans = self.shared.spans_nodes;
         let seed = p.seed;
@@ -517,7 +537,9 @@ impl Comm {
                 // world rank 0 would otherwise share seeds.
                 let mut rng = DetRng::for_stream(seed ^ 0x636f_6c6c_6563_7469, cid.0, view.gen);
                 let jitter = machine.noise.latency_jitter(&mut rng);
-                view.max_entry() + VTime::from_secs_f64(base + jitter)
+                let exit = view.max_entry() + VTime::from_secs_f64(base + jitter);
+                fold(view.slots);
+                exit
             },
             &p.mailboxes.poison,
         );
@@ -873,11 +895,17 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "reduce", Some(root), my_bytes, slot, |cc, total| {
-            cc.reduce((total as usize) / psize.max(1))
-        });
+        let (gen, done) = self.sync_fold(
+            p,
+            "reduce",
+            Some(root),
+            my_bytes,
+            slot,
+            |cc, total| cc.reduce((total as usize) / psize.max(1)),
+            |slots| fold_prefixes(slots, psize, &op),
+        );
         let out = if self.local_rank == root {
-            Self::fold_slots(&done, psize, &op)
+            take_contribution(&mut done.slots.lock()[psize - 1])
         } else {
             Vec::new()
         };
@@ -896,43 +924,19 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
-            cc.allreduce((total as usize) / psize.max(1))
-        });
-        let out = Self::fold_slots(&done, psize, &op);
+        let (gen, done) = self.sync_fold(
+            p,
+            "allreduce",
+            None,
+            my_bytes,
+            slot,
+            |cc, total| cc.allreduce((total as usize) / psize.max(1)),
+            |slots| fold_prefixes(slots, psize, &op),
+        );
+        let out = contribution::<T>(&done.slots.lock()[psize - 1]).clone();
         self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
         out
-    }
-
-    fn fold_slots<T, F>(done: &Arc<Done>, psize: usize, op: &F) -> Vec<T>
-    where
-        T: Clone + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let slots = done.slots.lock();
-        let first = slots[0]
-            .as_ref()
-            .expect("mpisim: reduce slot missing")
-            .downcast_ref::<Vec<T>>()
-            .expect("mpisim: reduce datatype mismatch");
-        let mut acc = first.clone();
-        for slot in slots.iter().take(psize).skip(1) {
-            let v = slot
-                .as_ref()
-                .expect("mpisim: reduce slot missing")
-                .downcast_ref::<Vec<T>>()
-                .expect("mpisim: reduce datatype mismatch");
-            assert_eq!(
-                v.len(),
-                acc.len(),
-                "mpisim: reduce contributions have different lengths"
-            );
-            for (a, b) in acc.iter_mut().zip(v.iter()) {
-                *a = op(a, b);
-            }
-        }
-        acc
     }
 
     /// Scalar f64 allreduce with the minimum operator (the LULESH `dtmin`).
@@ -992,8 +996,10 @@ impl Comm {
         out
     }
 
-    /// Exclusive element-wise scan: rank `r` receives the reduction of the
-    /// contributions of ranks `0..r`; rank 0 receives `identity`.
+    /// Exclusive element-wise scan: rank `r` receives the reduction of
+    /// `identity` and the contributions of ranks `0..r`; rank 0 receives
+    /// `identity`. The fold starts from rank 0's `identity`, so every rank
+    /// must pass the same one (the identity element of `op`).
     pub fn exscan<T, F>(&self, p: &mut Proc, data: Vec<T>, identity: Vec<T>, op: F) -> Vec<T>
     where
         T: Clone + Send + 'static,
@@ -1002,25 +1008,27 @@ impl Comm {
         p.tool_call_enter(MpiCall::Scan, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
+        // Rank 0 seeds the chain with `identity`; the inclusive prefixes of
+        // the first p - 1 slots are then exactly the exclusive ones.
+        let data = if self.local_rank == 0 {
+            assert_eq!(data.len(), identity.len(), "mpisim: exscan length mismatch");
+            identity.iter().zip(&data).map(|(a, b)| op(a, b)).collect()
+        } else {
+            data
+        };
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "exscan", None, my_bytes, slot, |cc, total| {
-            cc.scan((total as usize) / psize.max(1))
-        });
-        let out = {
-            let slots = done.slots.lock();
-            let mut acc = identity;
-            for slot in slots.iter().take(self.local_rank) {
-                let v = slot
-                    .as_ref()
-                    .expect("mpisim: exscan slot missing")
-                    .downcast_ref::<Vec<T>>()
-                    .expect("mpisim: exscan datatype mismatch");
-                assert_eq!(v.len(), acc.len(), "mpisim: exscan length mismatch");
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a = op(a, b);
-                }
-            }
-            acc
+        let (gen, done) = self.sync_fold(
+            p,
+            "exscan",
+            None,
+            my_bytes,
+            slot,
+            |cc, total| cc.scan((total as usize) / psize.max(1)),
+            |slots| fold_prefixes(slots, psize - 1, &op),
+        );
+        let out = match self.local_rank {
+            0 => identity,
+            r => take_contribution(&mut done.slots.lock()[r - 1]),
         };
         self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
@@ -1045,13 +1053,19 @@ impl Comm {
         p.tool_call_enter(MpiCall::Reduce, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "reduce_scatter", None, my_bytes, slot, |cc, total| {
+        let (gen, done) = self.sync_fold(
+            p,
+            "reduce_scatter",
+            None,
+            my_bytes,
+            slot,
             // Same communication volume class as an allreduce of one block.
-            cc.allreduce((total as usize) / (psize * psize).max(1))
-        });
-        let full = Self::fold_slots::<T, F>(&done, psize, &op);
+            |cc, total| cc.allreduce((total as usize) / (psize * psize).max(1)),
+            |slots| fold_prefixes(slots, psize, &op),
+        );
+        let mine = self.local_rank * block..(self.local_rank + 1) * block;
+        let out = contribution::<T>(&done.slots.lock()[psize - 1])[mine].to_vec();
         self.finish(gen, &done);
-        let out: Vec<T> = full[self.local_rank * block..(self.local_rank + 1) * block].to_vec();
         p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
         out
     }
@@ -1067,29 +1081,16 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "scan", None, my_bytes, slot, |cc, total| {
-            cc.scan((total as usize) / psize.max(1))
-        });
-        let out = {
-            let slots = done.slots.lock();
-            let mut acc = slots[0]
-                .as_ref()
-                .expect("mpisim: scan slot missing")
-                .downcast_ref::<Vec<T>>()
-                .expect("mpisim: scan datatype mismatch")
-                .clone();
-            for slot in slots.iter().take(self.local_rank + 1).skip(1) {
-                let v = slot
-                    .as_ref()
-                    .expect("mpisim: scan slot missing")
-                    .downcast_ref::<Vec<T>>()
-                    .expect("mpisim: scan datatype mismatch");
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a = op(a, b);
-                }
-            }
-            acc
-        };
+        let (gen, done) = self.sync_fold(
+            p,
+            "scan",
+            None,
+            my_bytes,
+            slot,
+            |cc, total| cc.scan((total as usize) / psize.max(1)),
+            |slots| fold_prefixes(slots, psize, &op),
+        );
+        let out = take_contribution(&mut done.slots.lock()[self.local_rank]);
         self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
         out
@@ -1194,5 +1195,51 @@ impl Comm {
             .expect("mpisim: dup split cannot fail");
         p.tool_call_exit(MpiCall::CommDup, self.id(), 0);
         dup
+    }
+}
+
+/// The `Vec<T>` a reduction participant deposited (or a fold left) in `slot`.
+fn contribution<T: 'static>(slot: &Slot) -> &Vec<T> {
+    slot.as_ref()
+        .expect("mpisim: reduce slot missing")
+        .downcast_ref::<Vec<T>>()
+        .expect("mpisim: reduce datatype mismatch")
+}
+
+/// Move the `Vec<T>` out of `slot` (for a slot only one rank reads).
+fn take_contribution<T: 'static>(slot: &mut Slot) -> Vec<T> {
+    *slot
+        .take()
+        .expect("mpisim: reduce slot missing")
+        .downcast::<Vec<T>>()
+        .unwrap_or_else(|_| panic!("mpisim: reduce datatype mismatch"))
+}
+
+/// The one reduction loop: an element-wise inclusive prefix fold over the
+/// first `n` deposited `Vec<T>` contributions, in rank order and in place.
+/// Afterwards slot `r < n` holds `op(..op(op(c0, c1), c2).., cr)`, so slot
+/// `n - 1` holds the full reduction. It runs once per generation on the
+/// last arriver, calling `op` (n - 1)·len times in all, instead of each
+/// reader folding up to p contributions itself.
+fn fold_prefixes<T: 'static, F: Fn(&T, &T) -> T>(slots: &mut [Slot], n: usize, op: &F) {
+    let mut contributions = slots[..n].iter_mut().map(|slot| {
+        slot.as_mut()
+            .expect("mpisim: reduce slot missing")
+            .downcast_mut::<Vec<T>>()
+            .expect("mpisim: reduce datatype mismatch")
+    });
+    let Some(mut acc) = contributions.next() else {
+        return;
+    };
+    for v in contributions {
+        assert_eq!(
+            v.len(),
+            acc.len(),
+            "mpisim: reduce contributions have different lengths"
+        );
+        for (b, a) in v.iter_mut().zip(acc.iter()) {
+            *b = op(a, b);
+        }
+        acc = v;
     }
 }

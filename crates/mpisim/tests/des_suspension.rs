@@ -78,10 +78,11 @@ fn nonmatching_deposits_resuspend_until_match() {
     assert_eq!(report.results[0], vec![90, 10, 20]);
 }
 
-/// The same wildcard program on both engines: the matched sequence the
-/// DES scheduler produces must be one the threads engine can also
-/// produce — and with staggered virtual send times it is the unique
-/// arrival-ordered one, so the results agree exactly.
+/// The same wildcard program on both engines. Rank 2 sends only after a
+/// token from rank 1, which rank 1 passes on after its own send, so rank
+/// 1's message reaches rank 0 first in virtual time (DES) and in host time
+/// (threads). The matched sequence is therefore unique and both engines
+/// must produce it.
 #[test]
 fn wildcard_matching_agrees_with_threads_engine() {
     let run = |engine| {
@@ -90,15 +91,26 @@ fn wildcard_matching_agrees_with_threads_engine() {
             .seed(11)
             .run(|p| {
                 let world = p.world();
-                if p.world_rank() == 0 {
-                    world.barrier(p);
-                    let a = world.recv::<u32>(p, Src::Any, TagSel::Is(7));
-                    let b = world.recv::<u32>(p, Src::Any, TagSel::Is(7));
-                    vec![a.data[0], b.data[0]]
-                } else {
-                    world.send(p, 0, 7, &[p.world_rank() as u32]);
-                    world.barrier(p);
-                    Vec::new()
+                match p.world_rank() {
+                    0 => {
+                        // Both messages are queued before the first receive.
+                        world.barrier(p);
+                        let a = world.recv::<u32>(p, Src::Any, TagSel::Is(7));
+                        let b = world.recv::<u32>(p, Src::Any, TagSel::Is(7));
+                        vec![a.data[0], b.data[0]]
+                    }
+                    1 => {
+                        world.send(p, 0, 7, &[1u32]);
+                        world.send(p, 2, 8, &[0u8]);
+                        world.barrier(p);
+                        Vec::new()
+                    }
+                    _ => {
+                        let _ = world.recv::<u8>(p, Src::Rank(1), TagSel::Is(8));
+                        world.send(p, 0, 7, &[2u32]);
+                        world.barrier(p);
+                        Vec::new()
+                    }
                 }
             })
             .expect("run failed")
@@ -106,8 +118,6 @@ fn wildcard_matching_agrees_with_threads_engine() {
     };
     let des = run(Engine::Des);
     let threads = run(Engine::Threads);
-    let mut des_sorted = des[0].clone();
-    des_sorted.sort_unstable();
-    assert_eq!(des_sorted, vec![1, 2]);
+    assert_eq!(des[0], vec![1, 2]);
     assert_eq!(des, threads, "engines disagreed on wildcard matching");
 }

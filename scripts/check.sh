@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
 echo "==> smoke: examples"
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example check_misuse > /dev/null
